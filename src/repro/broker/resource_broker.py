@@ -7,9 +7,10 @@ along with some session information.  This communication is done ...
 using HTML5 WebSockets."
 
 The RB owns the push gateway (hosted on its own instance), creates
-sessions, asks the Load Balancer to place them, and exposes prefetch /
-preemptive-bootstrap hooks ("prefetching data records and preemptively
-bootstrapping cloud instances as soon as a user visits the portal").
+sessions, submits them to the scheduling plane for placement, and
+exposes prefetch / preemptive-bootstrap hooks ("prefetching data
+records and preemptively bootstrapping cloud instances as soon as a
+user visits the portal").
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from typing import Any, Dict, List, Optional
 from repro.broker.load_balancer import LoadBalancer
 from repro.broker.sessions import SessionTable, UserSession
 from repro.obs.hub import obs_of
+from repro.sched.router import ShardedRouter, distribute
 from repro.services.channels import PushGateway
 from repro.sim import MetricsRegistry, Simulator
 
@@ -26,18 +28,14 @@ from repro.sim import MetricsRegistry, Simulator
 class ResourceBroker:
     """Front door for portal sessions.
 
-    With a ``scheduler`` (a :class:`~repro.sched.router.ShardedRouter`)
-    attached, sessions are submitted through the scheduling plane —
+    Sessions are submitted through the ``scheduler`` (a
+    :class:`~repro.sched.router.ShardedRouter`, with one shard or many):
     rendezvous-routed to a control-plane shard at interactive priority.
-    Without one, placement goes straight to the single Load Balancer
-    (the pre-sharding path, still used by minimal test rigs).
     """
 
-    def __init__(self, sim: Simulator, load_balancer: LoadBalancer,
-                 sessions: SessionTable, gateway: PushGateway,
-                 scheduler: Optional[Any] = None):
+    def __init__(self, sim: Simulator, scheduler: ShardedRouter,
+                 sessions: SessionTable, gateway: PushGateway):
         self.sim = sim
-        self.lb = load_balancer
         self.sessions = sessions
         self.gateway = gateway
         self.scheduler = scheduler
@@ -79,10 +77,7 @@ class ResourceBroker:
                             service=service_name,
                             session=session.session_id)
         self.metrics.counter("connects").increment()
-        if self.scheduler is not None:
-            self.scheduler.submit_session(session, service_name)
-        else:
-            self.lb.place_session(session, service_name)
+        self.scheduler.submit_session(session, service_name)
         return session
 
     def disconnect(self, session: UserSession) -> None:
@@ -96,10 +91,6 @@ class ResourceBroker:
                                      session=session.session_id)
         self.metrics.counter("disconnects").increment()
 
-    def current_address(self, session: UserSession) -> Optional[str]:
-        """Where the session should send its next request."""
-        return session.instance_address
-
     # -- QoS warm-up hooks ----------------------------------------------------
 
     def preboot(self, service_name: str, replicas: int,
@@ -110,15 +101,12 @@ class ResourceBroker:
         a user visits the portal", trading a little cost for much lower
         first-interaction latency.  The pool floor is raised for
         ``warm_seconds`` so the autoscaler doesn't reap the still-idle
-        warm replicas before the demand they anticipate arrives.  In a
-        sharded plane the warm capacity is spread over every shard
-        hosting a slice of the service.
+        warm replicas before the demand they anticipate arrives.  The
+        warm capacity is spread over every shard hosting a slice of the
+        service.
         """
-        if self.scheduler is not None:
-            slices = self.scheduler.slices(service_name)
-        else:
-            slices = [(self.lb, self.lb.service(service_name))]
-        shares = _spread(replicas, len(slices))
+        slices = self.scheduler.slices(service_name)
+        shares = distribute(replicas, len(slices))
         for (lb, service), share in zip(slices, shares):
             self._preboot_slice(lb, service, share, warm_seconds)
         obs_of(self.sim).events.emit("rb.preboot", service=service_name,
@@ -149,9 +137,3 @@ class ResourceBroker:
                 loaded += 1
         self.metrics.counter("prefetched").increment(loaded)
         return loaded
-
-
-def _spread(total: int, buckets: int) -> List[int]:
-    """Split ``total`` into ``buckets`` near-equal non-negative parts."""
-    base, extra = divmod(total, buckets)
-    return [base + (1 if i < extra else 0) for i in range(buckets)]

@@ -48,11 +48,6 @@ class OpenStackCloud(CloudProvider):
     # -- capacity accounting ----------------------------------------------------
 
     @property
-    def used_vcpus(self) -> int:
-        """vCPUs currently committed to live instances."""
-        return self._used_vcpus
-
-    @property
     def free_vcpus(self) -> int:
         """vCPUs still available in the physical pool."""
         return self.total_vcpus - self._used_vcpus

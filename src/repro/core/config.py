@@ -25,9 +25,9 @@ class EvopConfig:
     sessions_per_replica: int = 8
     min_replicas: int = 1
     max_replicas: int = 64
-    #: control-plane shards in the scheduling plane (repro.sched); 1
-    #: keeps the single-LB behaviour, N>1 rendezvous-hashes sessions
-    #: and runs across N slimmed per-shard Load Balancers
+    #: control-plane shards in the scheduling plane (repro.sched):
+    #: sessions and runs rendezvous-hash across N slimmed per-shard
+    #: Load Balancers; one shard places exactly as a single LB would
     shards: int = 1
     #: scrape interval (simulated seconds) of the telemetry plane; None
     #: leaves telemetry off until enable_telemetry() is called

@@ -228,8 +228,8 @@ class Evop:
         self.sim.run(until=self.sim.now + 120.0)
         gateway = PushGateway(self.sim, gateway_instance,
                               streams=self.streams)
-        self.rb = ResourceBroker(self.sim, self.lb, self.sessions, gateway,
-                                 scheduler=self.sched)
+        self.rb = ResourceBroker(self.sim, self.sched, self.sessions,
+                                 gateway)
 
     def _publish_models(self, catchment: Catchment) -> None:
         def topmodel_factory(c: Catchment):

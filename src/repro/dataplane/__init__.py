@@ -15,20 +15,17 @@ The pieces, in data-flow order:
   WPS) record events in the same step as their data write;
 * :class:`OutboxRelay` — drains the outbox into per-partition
   :class:`EventStream`\\ s (CRC-checked, torn-tail-truncating, replayable);
-* :class:`ConsumerGroup` — competing consumers with lease-based stream
-  claims, at-least-once delivery, and a :class:`DeadLetterQueue` for
-  poison events;
+* :class:`ConsumerGroup` — competing consumers with stream claims on
+  the durable lease table (:class:`~repro.durable.lease.ClaimTable`),
+  at-least-once delivery, and a :class:`DeadLetterQueue` for poison
+  events;
 * :mod:`~repro.dataplane.views` — the materialized views, deduplicating
   by stream sequence so redelivery is harmless;
 * :class:`DataPlane` — the facade wiring all of it, rebuildable from
   replay, served by :mod:`repro.services.readapi`.
 """
 
-from repro.dataplane.consumers import (
-    ClaimTable,
-    ConsumerGroup,
-    DeadLetterQueue,
-)
+from repro.dataplane.consumers import ConsumerGroup, DeadLetterQueue
 from repro.dataplane.events import Event
 from repro.dataplane.outbox import OutboxEntry, OutboxRelay, TransactionalOutbox
 from repro.dataplane.plane import DataPlane
@@ -45,7 +42,6 @@ from repro.dataplane.views import (
 
 __all__ = [
     "CatchmentStatsView",
-    "ClaimTable",
     "ConsumerGroup",
     "DataPlane",
     "DeadLetterQueue",

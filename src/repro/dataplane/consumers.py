@@ -1,11 +1,11 @@
 """Competing consumers: lease-claimed streams, redelivery, dead letters.
 
 Several consumer instances share the work of applying streams to the
-materialized views.  Coordination mirrors the PR 4 journal lease
-protocol: a consumer *claims* a stream by writing a lease blob with a
-TTL and a monotonically-increasing epoch; a dead consumer's claim
-expires and a peer takes over with a higher epoch, fencing any late
-writes from the previous holder.
+materialized views.  Coordination is the durable lease table
+(:class:`~repro.durable.lease.ClaimTable`): a consumer *claims* a
+stream by writing a lease blob with a TTL and a monotonically-increasing
+epoch; a dead consumer's claim expires and a peer takes over with a
+higher epoch, fencing any late writes from the previous holder.
 
 Delivery is at-least-once — a consumer can die after applying an event
 but before committing its cursor, so the next holder redelivers.  The
@@ -19,96 +19,18 @@ events stay durable and inspectable, and can be redriven after a fix.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from repro.cloud.errors import BlobNotFound
 from repro.cloud.storage import Container
 from repro.dataplane.events import Event
 from repro.dataplane.stream import StreamSet
+from repro.durable.lease import ClaimTable
 from repro.obs.hub import obs_of
 from repro.sim import Simulator
 
 #: Deliveries before an event is declared poison and parked.
 MAX_ATTEMPTS = 3
-
-#: How long a stream claim lives without renewal.
-CLAIM_TTL = 30.0
-
-
-class ClaimTable:
-    """Durable per-stream leases with TTL expiry and epoch fencing."""
-
-    def __init__(self, sim: Simulator, container: Container,
-                 ttl: float = CLAIM_TTL):
-        self.sim = sim
-        self.ttl = ttl
-        self._container = container
-
-    @staticmethod
-    def _key(stream: str) -> str:
-        return f"claims/{stream}"
-
-    def _read(self, stream: str) -> Optional[Dict[str, Any]]:
-        try:
-            return self._container.get(self._key(stream)).payload
-        except BlobNotFound:
-            return None
-
-    def claim(self, stream: str, owner: str) -> Optional[int]:
-        """Try to claim ``stream``; returns the epoch held, or ``None``.
-
-        A live claim by another owner refuses; an expired or absent
-        claim is taken over with a bumped epoch (fencing the old
-        holder's late commits).
-        """
-        current = self._read(stream)
-        now = self.sim.now
-        if current is not None:
-            alive = current["expires"] > now
-            if alive and current["owner"] != owner:
-                return None
-            epoch = current["epoch"] + (0 if current["owner"] == owner
-                                        and alive else 1)
-        else:
-            epoch = 0
-        self._container.put(self._key(stream), {
-            "owner": owner, "epoch": epoch, "expires": now + self.ttl})
-        return epoch
-
-    def renew(self, stream: str, owner: str, epoch: int) -> bool:
-        """Extend a held claim; ``False`` if it was lost (fenced)."""
-        current = self._read(stream)
-        if (current is None or current["owner"] != owner
-                or current["epoch"] != epoch):
-            return False
-        self._container.put(self._key(stream), {
-            "owner": owner, "epoch": epoch,
-            "expires": self.sim.now + self.ttl})
-        return True
-
-    def holds(self, stream: str, owner: str, epoch: int) -> bool:
-        """Whether ``owner`` still holds ``stream`` at ``epoch``."""
-        current = self._read(stream)
-        return (current is not None and current["owner"] == owner
-                and current["epoch"] == epoch
-                and current["expires"] > self.sim.now)
-
-    def release(self, stream: str, owner: str) -> None:
-        """Drop a claim so peers can take the stream immediately."""
-        current = self._read(stream)
-        if current is not None and current["owner"] == owner:
-            try:
-                self._container.delete(self._key(stream))
-            except BlobNotFound:  # pragma: no cover - defensive
-                pass
-
-    def owner_of(self, stream: str) -> Optional[str]:
-        """The live holder of ``stream``, if any."""
-        current = self._read(stream)
-        if current is None or current["expires"] <= self.sim.now:
-            return None
-        return current["owner"]
-
 
 class DeadLetterQueue:
     """Durable parking lot for poison events."""

@@ -14,7 +14,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cloud.storage import BlobStore
 from repro.dataplane.consumers import (
-    ClaimTable,
     ConsumerGroup,
     DeadLetterQueue,
     MAX_ATTEMPTS,
@@ -29,6 +28,7 @@ from repro.dataplane.views import (
     RunSummaryView,
     view_fingerprint,
 )
+from repro.durable.lease import ClaimTable
 from repro.obs.hub import obs_of
 from repro.sim import Simulator
 

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional
 
-from repro.cloud.errors import BlobNotFound
 from repro.cloud.storage import Container
 from repro.dataplane.events import Event
-from repro.durable.journal import EVENT, JournalRecord, jsonable
+from repro.durable.journal import EVENT, JournalRecord, jsonable, replay_log
 from repro.obs.hub import obs_of
 from repro.sim import Simulator
 
@@ -49,36 +48,14 @@ class EventStream:
 
     def _load(self) -> None:
         """Replay the container, truncating any torn tail (open path)."""
-        keys = self._container.list(prefix=f"{self.name}/")
-        expected = 0
-        good: List[JournalRecord] = []
-        bad_from: Optional[int] = None
-        for i, key in enumerate(keys):
-            record = self._safe_parse(key)
-            if record is None or record.seq != expected:
-                bad_from = i
-                break
-            good.append(record)
-            expected += 1
-        if bad_from is not None:
-            dropped = keys[bad_from:]
-            for key in dropped:
-                try:
-                    self._container.delete(key)
-                except BlobNotFound:  # pragma: no cover - defensive
-                    pass
+        good, dropped = replay_log(self._container, self.name)
+        if dropped:
             self.truncated_records += len(dropped)
             obs_of(self.sim).events.emit(
                 "dataplane.stream.truncated", stream=self.name,
                 dropped=len(dropped), first_bad=dropped[0])
         for record in good:
             self._absorb(record)
-
-    def _safe_parse(self, key: str) -> Optional[JournalRecord]:
-        try:
-            return JournalRecord.parse(self._container.get(key).payload)
-        except BlobNotFound:  # pragma: no cover - defensive
-            return None
 
     def _absorb(self, record: JournalRecord) -> Event:
         data = record.payload

@@ -7,6 +7,8 @@ this package hardens the work itself:
 * :mod:`repro.durable.journal` — write-ahead :class:`RunJournal` on the
   blob store (CRC records, fsync points, torn-tail truncation, leases
   with fencing epochs) and the :class:`JournalStore` namespace.
+* :mod:`repro.durable.lease` — :class:`ClaimTable`: named one-blob
+  leases with TTL expiry and epoch fencing.
 * :mod:`repro.durable.state` — pure journal replay into
   :class:`RunState`; consistent for every record prefix.
 * :mod:`repro.durable.recovery` — :class:`RecoveryManager`: orphan
@@ -33,12 +35,14 @@ from repro.durable.journal import (
     STARTED,
     jsonable,
 )
+from repro.durable.lease import ClaimTable
 from repro.durable.recovery import RecoveryManager, RecoveryReport
 from repro.durable.state import RunState, StageState, replay
 
 __all__ = [
     "ADOPTED",
     "CHECKPOINT",
+    "ClaimTable",
     "DONE",
     "DurableSweep",
     "EFFECT",

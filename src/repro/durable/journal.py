@@ -118,6 +118,38 @@ class JournalRecord:
             return None
 
 
+def _safe_parse(container: Container, key: str) -> Optional[JournalRecord]:
+    try:
+        return JournalRecord.parse(container.get(key).payload)
+    except BlobNotFound:  # pragma: no cover - defensive
+        return None
+
+
+def replay_log(container: Container,
+               name: str) -> Tuple[List[JournalRecord], List[str]]:
+    """Replay the ``<name>/<seq>`` records, truncating any torn tail.
+
+    Records are accepted in key order while each passes its CRC and
+    carries the next sequence number.  The first record that does not,
+    and every key after it, is deleted from ``container``.  Returns the
+    accepted records and the dropped keys (empty for a clean log).
+    """
+    keys = container.list(prefix=f"{name}/")
+    good: List[JournalRecord] = []
+    for key in keys:
+        record = _safe_parse(container, key)
+        if record is None or record.seq != len(good):
+            break
+        good.append(record)
+    dropped = keys[len(good):]
+    for key in dropped:
+        try:
+            container.delete(key)
+        except BlobNotFound:  # pragma: no cover - defensive
+            pass
+    return good, dropped
+
+
 @dataclass(frozen=True)
 class LeaseState:
     """The journal's current view of run ownership."""
@@ -157,24 +189,8 @@ class RunJournal:
 
     def _load(self) -> None:
         """Replay the store, truncating the torn tail (open path)."""
-        keys = self._container.list(prefix=f"{self.run_id}/")
-        expected = 0
-        good: List[JournalRecord] = []
-        bad_from: Optional[int] = None
-        for i, key in enumerate(keys):
-            record = self._safe_parse(key)
-            if record is None or record.seq != expected:
-                bad_from = i
-                break
-            good.append(record)
-            expected += 1
-        if bad_from is not None:
-            dropped = keys[bad_from:]
-            for key in dropped:
-                try:
-                    self._container.delete(key)
-                except BlobNotFound:  # pragma: no cover - defensive
-                    pass
+        good, dropped = replay_log(self._container, self.run_id)
+        if dropped:
             self.truncated_records += len(dropped)
             obs_of(self.sim).events.emit(
                 "durable.journal.truncated", run=self.run_id,
@@ -182,12 +198,6 @@ class RunJournal:
         self._records = good
         for record in good:
             self._apply(record)
-
-    def _safe_parse(self, key: str) -> Optional[JournalRecord]:
-        try:
-            return JournalRecord.parse(self._container.get(key).payload)
-        except BlobNotFound:  # pragma: no cover - defensive
-            return None
 
     def _refresh(self) -> int:
         """Absorb records another writer appended since we last looked."""
@@ -202,7 +212,7 @@ class RunJournal:
                 continue
             if seq <= top:
                 continue
-            record = self._safe_parse(key)
+            record = _safe_parse(self._container, key)
             if record is None or record.seq != top + 1:
                 break
             self._records.append(record)

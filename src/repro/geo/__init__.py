@@ -1,7 +1,7 @@
 """repro.geo — the geo-distributed estate.
 
-Runs the full stack across 2–3 simulated regions with any single
-region expendable:
+Runs the full stack across 1–3 simulated regions; with 2–3, any single
+region is expendable:
 
 * :mod:`repro.geo.topology` — the shared region map: status verdicts,
   ring-ordered proximity, transition history.
@@ -9,8 +9,8 @@ region expendable:
   the journal substrate, vector-versioned, with measurable lag
   (the RPO knob).
 * :mod:`repro.geo.election` — leases-based leader election on the
-  durable journal lease protocol; monotonic terms are the fencing
-  tokens.
+  durable lease table (one lease blob per region); monotonic terms are
+  the fencing tokens.
 * :mod:`repro.geo.ledger` — the replicated
   :class:`~repro.sched.ledger.CapacityLedger`: leader-only admission,
   fan-out facts, fenced stale grants, never a double-commit.
@@ -18,8 +18,8 @@ region expendable:
   with brownout spillover, plus the RFC-7807 ``503`` region guard.
 * :mod:`repro.geo.failover` — whole-region verdicts, session
   evacuation, durable-run re-adoption, measured RTO.
-* :mod:`repro.geo.estate` — the builder that wires it all, with
-  ``regions=1`` bit-identical to the classic single-region stack.
+* :mod:`repro.geo.estate` — the builder that wires it all, the same
+  way at every region count.
 """
 
 from repro.geo.election import ELECTION_GRACE, LeaderElection

@@ -1,18 +1,19 @@
-"""Leases-based leader election across regional journals.
+"""Leases-based leader election across regional lease tables.
 
 The geo capacity ledger needs exactly one decision-maker at a time.
 Rather than invent a consensus protocol, the election reuses the
-``repro.durable`` lease primitive: every region's
-:class:`~repro.durable.journal.JournalStore` holds an election journal
-(run id ``geo/<cluster>``) and the coordinator writes the same
-``LEASE`` record into every reachable region's copy.  The *merged*
-view — the lease with the highest ``(epoch, expires)`` across
-reachable journals — is the cluster's truth, so a candidate campaigning
-while the old leader's lease is still live anywhere is refused by the
-journal's own :class:`~repro.durable.journal.LeaseError` rules.
+durable lease primitive (:class:`~repro.durable.lease.ClaimTable`):
+every region holds one election lease blob (named after the cluster)
+in its own blob store, and the coordinator writes the same claim into
+every reachable region's copy.  The *merged* view — the claim with the
+highest ``(epoch, expires)`` across reachable regions — is the
+cluster's truth, so a candidate campaigning while the old leader's
+lease is still live anywhere is refused by the lease table's own
+claim rules.  Renewal rewrites the blob, so each region stores one
+election blob however long the estate runs.
 
 Fencing: every successful campaign advances a monotonic **term**
-(never below any journal epoch it acquired).  Ledger writes carry the
+(never below any lease epoch it acquired).  Ledger writes carry the
 term they were issued under; a leader that lost its region keeps its
 old term, and its in-flight decisions are rejected (see
 :class:`~repro.geo.ledger.GeoLedger`).
@@ -26,10 +27,11 @@ within ``ttl + ELECTION_GRACE + check_interval`` of the loss.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cloud.errors import StorageUnavailable
-from repro.durable.journal import JournalStore, LeaseError, LeaseState, RunJournal
+from repro.cloud.storage import Container
+from repro.durable.lease import ClaimTable
 from repro.geo.topology import RegionStatus, RegionTopology
 from repro.obs.hub import obs_of
 from repro.sim import Simulator
@@ -40,10 +42,14 @@ ELECTION_GRACE = 0.5
 
 
 class LeaderElection:
-    """Elects one leader region via replicated journal leases."""
+    """Elects one leader region via replicated durable leases.
+
+    ``leases`` maps each region to the blob container holding that
+    region's copy of the election lease.
+    """
 
     def __init__(self, sim: Simulator, topology: RegionTopology,
-                 journals: Dict[str, JournalStore],
+                 leases: Dict[str, Container],
                  cluster: str = "capacity-ledger",
                  ttl: float = 10.0, check_interval: float = 1.0):
         self.sim = sim
@@ -51,22 +57,17 @@ class LeaderElection:
         self.cluster = cluster
         self.ttl = ttl
         self.check_interval = check_interval
-        self._journals: Dict[str, RunJournal] = {
-            region: store.open_or_create(f"geo/{cluster}")
-            for region, store in journals.items()}
+        self._tables: Dict[str, ClaimTable] = {
+            region: ClaimTable(sim, container, ttl=ttl)
+            for region, container in leases.items()}
         #: the monotonic fencing token ledger writes carry
         self.term = 0
         self.leader_region: Optional[str] = None
         #: (time, leader, term) per successful campaign
         self.elections: List[Tuple[float, str, int]] = []
-        self._callbacks: List[Callable[[str, int], None]] = []
         self._started = False
 
     # -- wiring --------------------------------------------------------------
-
-    def on_elected(self, callback: Callable[[str, int], None]) -> None:
-        """Call ``callback(leader, term)`` after every campaign."""
-        self._callbacks.append(callback)
 
     def start(self) -> "LeaderElection":
         """Run the first campaign now and keep checking forever."""
@@ -100,28 +101,28 @@ class LeaderElection:
         lapses and a survivor campaigns.
         """
         lease = self._merged_lease()
-        if lease is not None and lease.held_at(self.sim.now) \
-                and self.topology.status(lease.owner) is not RegionStatus.DOWN:
-            return lease.owner
+        if lease is not None and self.sim.now < lease["expires"] \
+                and self.topology.status(lease["owner"]) \
+                is not RegionStatus.DOWN:
+            return lease["owner"]
         return None
 
-    def _merged_lease(self) -> Optional[LeaseState]:
-        best: Optional[LeaseState] = None
-        for _, journal in self._reachable():
+    def _merged_lease(self) -> Optional[Dict[str, Any]]:
+        best: Optional[Dict[str, Any]] = None
+        for table in self._reachable():
             try:
-                lease = journal.lease()
+                lease = table.read(self.cluster)
             except StorageUnavailable:
                 continue
             if lease is None:
                 continue
-            if best is None or (lease.epoch, lease.expires) > \
-                    (best.epoch, best.expires):
+            if best is None or (lease["epoch"], lease["expires"]) > \
+                    (best["epoch"], best["expires"]):
                 best = lease
         return best
 
-    def _reachable(self) -> List[Tuple[str, RunJournal]]:
-        return [(region, journal)
-                for region, journal in self._journals.items()
+    def _reachable(self) -> List[ClaimTable]:
+        return [table for region, table in self._tables.items()
                 if self.topology.status(region) is not RegionStatus.DOWN]
 
     # -- the coordinator step ------------------------------------------------
@@ -130,18 +131,18 @@ class LeaderElection:
         """One election check; returns the current leader (or None)."""
         now = self.sim.now
         lease = self._merged_lease()
-        if lease is not None and lease.held_at(now):
-            holder = lease.owner
+        if lease is not None and now < lease["expires"]:
+            holder = lease["owner"]
             if self.topology.status(holder) is RegionStatus.DOWN:
                 # the lease must lapse before anyone may take over —
                 # this wait is exactly what bounds the no-leader window
                 self.leader_region = None
                 return None
             self.leader_region = holder
-            if lease.expires - now <= self.ttl / 2.0:
-                self._renew(holder)
+            if lease["expires"] - now <= self.ttl / 2.0:
+                self._claim_everywhere(holder)
             return holder
-        if lease is not None and now < lease.expires + ELECTION_GRACE:
+        if lease is not None and now < lease["expires"] + ELECTION_GRACE:
             self.leader_region = None
             return None
         candidate = self.topology.nearest_available()
@@ -151,12 +152,7 @@ class LeaderElection:
         return self._campaign(candidate)
 
     def _campaign(self, candidate: str) -> Optional[str]:
-        epochs: List[int] = []
-        for _, journal in self._reachable():
-            try:
-                epochs.append(journal.acquire(candidate, self.ttl))
-            except (LeaseError, StorageUnavailable):
-                continue
+        epochs = self._claim_everywhere(candidate)
         if not epochs:
             self.leader_region = None
             return None
@@ -166,21 +162,22 @@ class LeaderElection:
         obs_of(self.sim).events.emit("geo.leader.elected",
                                      cluster=self.cluster, leader=candidate,
                                      term=self.term)
-        for callback in self._callbacks:
-            callback(candidate, self.term)
         return candidate
 
-    def _renew(self, holder: str) -> None:
-        for _, journal in self._reachable():
+    def _claim_everywhere(self, owner: str) -> List[int]:
+        """Claim (or renew) ``owner``'s lease in every reachable region.
+
+        Returns the epochs won.  A region still showing another owner's
+        live lease refuses; a healed region's stale, expired lease is
+        taken over, which converges the site without disturbing the
+        cluster term.
+        """
+        epochs: List[int] = []
+        for table in self._reachable():
             try:
-                journal.renew(holder, self.ttl)
-            except LeaseError:
-                # a healed region's journal still shows a stale owner;
-                # its lease there has expired, so re-acquiring converges
-                # the site without disturbing the cluster term
-                try:
-                    journal.acquire(holder, self.ttl)
-                except (LeaseError, StorageUnavailable):
-                    continue
+                epoch = table.claim(self.cluster, owner)
             except StorageUnavailable:
                 continue
+            if epoch is not None:
+                epochs.append(epoch)
+        return epochs

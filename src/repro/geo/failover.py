@@ -21,7 +21,10 @@ sequence when one flips to DOWN:
    region owned, losing at most one replication interval of progress
    (the RPO);
 4. **restore** — when the region's storage and capacity come back the
-   verdict heals, the topology flips back, and stickiness resumes.
+   verdict heals, the topology flips back, and stickiness resumes.  A
+   region lost with no survivor (one region, or all of them) keeps its
+   sessions queued on its own balancers and rejoins, DEGRADED, as
+   soon as its storage is back, so it can elect itself and relaunch.
 
 Everything is measured: each failover produces a
 :class:`FailoverReport` with detection, evacuation and restoration
@@ -150,10 +153,14 @@ class FailoverCoordinator:
             current = self.topology.status(region)
             if verdict is RegionStatus.DOWN and current is not RegionStatus.DOWN:
                 self._fail_over(region, cell)
-            elif verdict is not RegionStatus.DOWN \
-                    and current is RegionStatus.DOWN \
-                    and verdict is RegionStatus.HEALTHY:
-                self._restore(region, cell)
+            elif current is RegionStatus.DOWN and (
+                    verdict is RegionStatus.HEALTHY
+                    or verdict is not RegionStatus.DOWN
+                    and not self.topology.available()):
+                # with no region left standing, nobody else can lead
+                # the ledger that admits this region's relaunches, so a
+                # region whose storage is back rejoins while convalescing
+                self._restore(region, cell, verdict)
             elif current is not RegionStatus.DOWN:
                 self.topology.mark(region, verdict)
         self._sweep_orphans()
@@ -163,10 +170,14 @@ class FailoverCoordinator:
         self.topology.mark(region, RegionStatus.DOWN)
         report = FailoverReport(region=region, detected_at=self.sim.now)
         self.reports.append(report)
-        # evacuate: every non-ended session homed here moves now
-        doomed = [s for s in self.sessions.all()
-                  if getattr(s, "region", None) == region
-                  and s.state.value != "ended"]
+        # evacuate: every non-ended session homed here moves now — if
+        # any region survives; otherwise the region's own balancers keep
+        # them queued until its capacity comes back
+        survivor = self.georouter.pick_region(region)
+        doomed = [] if survivor is None else [
+            s for s in self.sessions.all()
+            if getattr(s, "region", None) == region
+            and s.state.value != "ended"]
         for session in doomed:
             if session.state.value == "active":
                 session.unassign()
@@ -182,8 +193,9 @@ class FailoverCoordinator:
             "geo.failover.begin", region=region,
             sessions=len(doomed), adopter=cell.adopter or "")
 
-    def _restore(self, region: str, cell: _RegionCell) -> None:
-        self.topology.mark(region, RegionStatus.HEALTHY)
+    def _restore(self, region: str, cell: _RegionCell,
+                 status: RegionStatus) -> None:
+        self.topology.mark(region, status)
         cell.adopter = None
         for report in reversed(self.reports):
             if report.region == region and report.restored_at is None:

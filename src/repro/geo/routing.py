@@ -18,8 +18,8 @@ order:
   not-DOWN region still takes the session (serving slowly beats
   refusing).
 
-With a single region the router delegates verbatim — same calls, same
-order — so ``regions=1`` stays bit-identical to the pre-geo stack.
+A single region runs the same rules: its only region serves every
+session it does not refuse.
 
 :class:`RegionGuard` is the REST-side enforcement (satellite: RFC-7807
 ``503`` + ``Retry-After`` on ``/v1`` routes when the serving region is
@@ -71,11 +71,6 @@ class GeoRouter:
         ``origin`` is where the user is; a session that was already
         placed is sticky to its previous region instead.
         """
-        if len(self.routers) == 1:
-            (only,) = self.routers
-            self.routers[only].submit_session(session, service_name,
-                                              priority=priority)
-            return only
         home = getattr(session, "region", None) or origin
         region = self.pick_region(home)
         if region is None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
-from repro.perf.keys import forcing_digest, run_key
+from repro.perf.keys import run_key
 
 
 class RunCache:
@@ -48,11 +48,6 @@ class RunCache:
     def key_of(model_id: str, parameters: Any, forcing: str = "") -> str:
         """Content-addressed key: model id + params + forcing digest."""
         return run_key(model_id, parameters, forcing)
-
-    @staticmethod
-    def digest_forcing(*series: Any) -> str:
-        """Convenience re-export of :func:`~repro.perf.keys.forcing_digest`."""
-        return forcing_digest(*series)
 
     # -- lookups ------------------------------------------------------------
 

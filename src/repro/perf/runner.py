@@ -366,21 +366,3 @@ class EnsembleRunner:
         stats["pool_workers"] = (
             self.workers if self.backend == "process-pool" else 0)
         return stats
-
-    # -- durable execution ---------------------------------------------------
-
-    def durable_sweep(self, store, sweep_id: str,
-                      checkpoint_every: int = 50, effects=None,
-                      owner: str = "sweep-executor"):
-        """A journaled, checkpointed sweep backed by this runner.
-
-        ``store`` is a :class:`~repro.durable.journal.JournalStore`;
-        the returned :class:`~repro.durable.ensemble.DurableSweep`
-        checkpoints every ``checkpoint_every`` completed parameter sets
-        and (with an ``effects`` container) publishes each result under
-        its content-addressed run key exactly once across crashes.
-        """
-        from repro.durable.ensemble import DurableSweep
-        return DurableSweep(self, store, sweep_id,
-                            checkpoint_every=checkpoint_every,
-                            effects=effects, owner=owner)

@@ -143,11 +143,6 @@ class LeftTool:
         raw = sensor.to_timeseries(begin, end)
         return quality_control(raw, sensor.description.observed_property)
 
-    def webcam_widget(self):
-        """The webcam marker's widget."""
-        from repro.portal.widgets import WebcamWidget
-        return WebcamWidget(self.webcam)
-
     def multimodal_widget(self) -> MultimodalWidget:
         """Figure 5's temperature+turbidity+webcam widget."""
         return MultimodalWidget(

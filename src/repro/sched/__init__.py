@@ -8,9 +8,9 @@ Load Balancer:
 * :class:`~repro.sched.core.Dispatcher` — the provider-neutral core:
   priority classes (interactive portal sessions > workflow stages >
   batch sweeps), per-class bounded queues with per-tenant
-  deficit-round-robin lanes (weighted-fair within each class), batch
-  dequeue, and the ``sched.submit``/``sched.place`` spans that make
-  every queueing decision observable;
+  deficit-round-robin lanes (weighted-fair within each class), and the
+  ``sched.submit``/``sched.place`` spans that make every queueing
+  decision observable;
 * :class:`~repro.sched.ledger.CapacityLedger` — global capacity and
   cloudburst accounting shared by every control-plane shard, so
   quota decisions stay correct when the plane is sharded;

@@ -413,17 +413,6 @@ class Dispatcher:
         self._record_service(tenant)
         return item, cls
 
-    def dequeue_batch(self, service_name: str, count: int
-                      ) -> List[Tuple[Any, PriorityClass]]:
-        """Pop up to ``count`` items in priority order in one pass."""
-        out: List[Tuple[Any, PriorityClass]] = []
-        while len(out) < count:
-            entry = self.dequeue(service_name)
-            if entry is None:
-                break
-            out.append(entry)
-        return out
-
     def requeue_front(self, service_name: str, items: List[Any],
                       priority: PriorityClass,
                       tenants: Optional[List[Optional[str]]] = None
@@ -472,14 +461,6 @@ class Dispatcher:
         for queue in self._queues.values():
             for tenant, n in queue.tenant_depths().items():
                 totals[tenant] = totals.get(tenant, 0) + n
-        return totals
-
-    def shed_counts(self) -> Dict[str, int]:
-        """Total sheds per class across all services."""
-        totals = {cls.name.lower(): 0 for cls in PriorityClass}
-        for queue in self._queues.values():
-            for cls, n in queue.shed.items():
-                totals[cls.name.lower()] += n
         return totals
 
     def shed_by_tenant(self) -> Dict[str, int]:

@@ -13,6 +13,7 @@ The router is also the one front door the upper layers submit through:
 ``submit_session`` (broker), ``admit_call`` (workflow stage dispatch)
 and ``batch_submission`` (ensemble sweeps) — so priority classes,
 admission gates and ``sched.submit`` spans attach in exactly one place.
+One shard is not a special case: it slices and routes exactly as N do.
 """
 
 from __future__ import annotations
@@ -62,10 +63,9 @@ class ShardedRouter:
 
     ``lbs`` are already-constructed Load Balancers (shard id = list
     index) sharing one simulator, session table and (usually) one
-    :class:`~repro.sched.ledger.CapacityLedger`.  At ``shards == 1``
-    every call delegates straight to the single LB with the same
-    arguments the pre-refactor call sites used — behaviour-identical by
-    construction, which the shard-scaling bench asserts bit-for-bit.
+    :class:`~repro.sched.ledger.CapacityLedger`.  One shard runs the
+    same code as N: the shard-scaling bench asserts bit-for-bit that a
+    one-shard plane places exactly as a bare Load Balancer does.
     """
 
     def __init__(self, sim: Simulator, lbs: Sequence[Any],
@@ -110,28 +110,20 @@ class ShardedRouter:
         ids = self._service_shards.get(service_name) if service_name else None
         return rendezvous_shard(key, ids or self.shard_ids())
 
-    def lb_of(self, key: str, service_name: Optional[str] = None):
-        """The shard LB ``key`` routes to."""
-        return self.lbs[self.shard_of(key, service_name)]
-
     # -- service management --------------------------------------------------
 
     def manage(self, service, initial_replicas: Optional[int] = None):
         """Manage ``service``, splitting its slices across the shards.
 
-        At one shard the service object is handed to the LB untouched.
-        With N shards each participating shard gets its own
-        ``ManagedService`` clone whose replica floors/ceilings split the
-        originals as evenly as possible; shards whose slice would have
-        ``max_replicas == 0`` do not host the service and are excluded
-        from its rendezvous.
+        Each participating shard gets its own ``ManagedService`` clone
+        whose replica floors/ceilings split the originals as evenly as
+        possible (one shard's slice carries them whole); shards whose
+        slice would have ``max_replicas == 0`` do not host the service
+        and are excluded from its rendezvous.  Returns the slices.
         """
-        if len(self.lbs) == 1:
-            self._service_shards[service.name] = [0]
-            return self.lbs[0].manage(service, initial_replicas)
-        mins = _distribute(service.min_replicas, len(self.lbs))
-        maxes = _distribute(service.max_replicas, len(self.lbs))
-        initials = (_distribute(initial_replicas, len(self.lbs))
+        mins = distribute(service.min_replicas, len(self.lbs))
+        maxes = distribute(service.max_replicas, len(self.lbs))
+        initials = (distribute(initial_replicas, len(self.lbs))
                     if initial_replicas is not None
                     else [None] * len(self.lbs))
         hosting: List[int] = []
@@ -339,7 +331,7 @@ class ShardedRouter:
         return self.lbs[0].drain(instance)
 
 
-def _distribute(total: int, shards: int) -> List[int]:
+def distribute(total: int, shards: int) -> List[int]:
     """Split ``total`` into ``shards`` near-equal non-negative parts."""
     base, extra = divmod(total, shards)
     return [base + (1 if i < extra else 0) for i in range(shards)]

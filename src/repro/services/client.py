@@ -26,11 +26,6 @@ from repro.tenancy.context import TENANT_HEADER
 AddressLike = Union[str, Callable[[], Optional[str]]]
 
 
-def encode_dataset_id(dataset_id: str) -> str:
-    """Path-encode a dataset id (path params cannot contain ``/``)."""
-    return dataset_id.replace("/", "__")
-
-
 class RestClient:
     """Per-resource methods over the v1 API, resilient by construction."""
 
@@ -120,44 +115,7 @@ class RestClient:
         """``GET /v1`` — the machine-readable route table."""
         return self.request("GET", "/v1")
 
-    # -- datasets (upload service) ------------------------------------------
-
-    def upload_dataset(self, document: Dict[str, Any],
-                       idempotency_key: Optional[str] = None) -> Signal:
-        """``POST /v1/uploads`` — publish a user-provided series.
-
-        Pass ``idempotency_key`` to make the upload retryable without
-        duplicate catalogue entries.
-        """
-        return self.request("POST", "/v1/uploads", body=document, safe=False,
-                            idempotency_key=idempotency_key)
-
-    def list_uploads(self, cursor: Optional[str] = None,
-                     limit: Optional[int] = None) -> Signal:
-        """``GET /v1/uploads`` — paginated dataset listing."""
-        return self.request("GET", "/v1/uploads",
-                            query=_page_query({}, cursor, limit))
-
-    def describe_dataset(self, dataset_id: str) -> Signal:
-        """``GET /v1/uploads/{id}`` — dataset metadata (revalidated)."""
-        return self.request(
-            "GET", f"/v1/uploads/{encode_dataset_id(dataset_id)}")
-
-    def download_dataset(self, dataset_id: str,
-                         principal: Optional[str] = None) -> Signal:
-        """``GET /v1/uploads/{id}/data`` — the raw series, ACL-checked."""
-        headers = {"X-Principal": principal} if principal else None
-        return self.request(
-            "GET", f"/v1/uploads/{encode_dataset_id(dataset_id)}/data",
-            headers=headers)
-
     # -- WPS ----------------------------------------------------------------
-
-    def wps_capabilities(self, cursor: Optional[str] = None,
-                         limit: Optional[int] = None) -> Signal:
-        """``GET /v1/wps`` — published processes (paginated)."""
-        return self.request("GET", "/v1/wps",
-                            query=_page_query({}, cursor, limit))
 
     def describe_process(self, identifier: str) -> Signal:
         """``GET /v1/wps/processes/{id}`` — the DescribeProcess document."""
@@ -187,38 +145,7 @@ class RestClient:
         """``GET <statusLocation>`` — poll an async execution."""
         return self.request("GET", status_location)
 
-    # -- SOS ----------------------------------------------------------------
-
-    def sos_capabilities(self) -> Signal:
-        """``GET /v1/sos`` — offerings."""
-        return self.request("GET", "/v1/sos")
-
-    def describe_sensor(self, procedure_id: str) -> Signal:
-        """``GET /v1/sos/sensors/{id}`` — the DescribeSensor document."""
-        return self.request("GET", f"/v1/sos/sensors/{procedure_id}")
-
-    def get_observations(self, procedure_id: str,
-                         begin: Optional[float] = None,
-                         end: Optional[float] = None,
-                         cursor: Optional[str] = None,
-                         limit: Optional[int] = None) -> Signal:
-        """``GET /v1/sos/observations/{id}`` with a temporal filter
-        (paginated)."""
-        query: Dict[str, str] = {}
-        if begin is not None:
-            query["begin"] = str(begin)
-        if end is not None:
-            query["end"] = str(end)
-        return self.request("GET", f"/v1/sos/observations/{procedure_id}",
-                            query=_page_query(query, cursor, limit))
-
     # -- the CQRS read API (materialized views) -----------------------------
-
-    def list_catchments(self, cursor: Optional[str] = None,
-                        limit: Optional[int] = None) -> Signal:
-        """``GET /v1/catchments`` — materialized catchments (paginated)."""
-        return self.request("GET", "/v1/catchments",
-                            query=_page_query({}, cursor, limit))
 
     def catchment_stats(self, catchment: str) -> Signal:
         """``GET /v1/catchments/{id}/stats`` — rolling stats (revalidated)."""
@@ -239,10 +166,6 @@ class RestClient:
             query["status"] = status
         return self.request("GET", "/v1/runs",
                             query=_page_query(query, cursor, limit))
-
-    def get_run(self, run_id: str) -> Signal:
-        """``GET /v1/runs/{id}`` — one run's summary."""
-        return self.request("GET", f"/v1/runs/{run_id}")
 
 
 def _page_query(query: Dict[str, str], cursor: Optional[str],

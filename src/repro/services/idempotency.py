@@ -9,7 +9,9 @@ every replay receives the original response, marked
 
 The index is a blob container shared by every replica — like the WPS
 status container, it keeps the replicas stateless: whichever replica a
-retry lands on sees the same reservations.  The protocol per key:
+retry lands on sees the same reservations.  Keys are scoped per
+tenant; an untenanted request runs as, and is keyed as,
+:data:`~repro.tenancy.context.DEFAULT_TENANT`.  The protocol per key:
 
 1. **fresh** — no record: a *pending* reservation (with a TTL and an
    epoch) is written before the handler runs, then the final response
@@ -36,6 +38,7 @@ from repro.cloud.errors import BlobNotFound
 from repro.cloud.storage import Container
 from repro.perf.keys import content_key
 from repro.sim import Simulator
+from repro.tenancy.context import DEFAULT_TENANT
 
 #: How long a pending reservation blocks other attempts, seconds.
 PENDING_TTL = 120.0
@@ -91,11 +94,10 @@ class IdempotencyIndex:
     @staticmethod
     def _key(key: str, tenant: Optional[str] = None) -> str:
         # Keys are tenant-scoped: the same Idempotency-Key from two
-        # tenants must never replay across the boundary.  The untenanted
-        # path keeps the pre-tenancy blob name bit-identical.
-        if tenant is None:
-            return f"idem/{content_key(key)}"
-        return f"idem/{content_key((tenant, key))}"
+        # tenants must never replay across the boundary.  An untenanted
+        # request runs as the default tenant and is keyed as one.
+        principal = DEFAULT_TENANT if tenant is None else tenant
+        return f"idem/{content_key((principal, key))}"
 
     def _read(self, key: str,
               tenant: Optional[str] = None) -> Optional[Dict[str, Any]]:

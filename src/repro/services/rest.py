@@ -572,20 +572,3 @@ class RestServer:
                         else f"http {response.status}")
         if not done.fired:
             done.fire(response)
-
-
-def handler_error_to_response(fn: Callable) -> Callable:
-    """Wrap a handler so :class:`HttpError` becomes a status tuple.
-
-    Job execution converts exceptions to failed outcomes, losing the
-    status code; wrapping keeps 4xx semantics (and the ``retryable``
-    verdict) intact.
-    """
-
-    def wrapped(request: HttpRequest, params: Dict[str, str]):
-        try:
-            return fn(request, params)
-        except HttpError as err:
-            return err.status, err.to_problem()
-
-    return wrapped

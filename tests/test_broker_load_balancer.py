@@ -20,6 +20,7 @@ from repro.cloud import (
     MultiCloud,
     OpenStackCloud,
 )
+from repro.sched import ShardedRouter
 from repro.services import Network, PushGateway, RestApi, RestServer
 from repro.sim import RandomStreams, Simulator
 
@@ -63,7 +64,8 @@ class Stack:
         gateway_instance = self.private.launch(self.image, MEDIUM)
         self.sim.run(until=self.sim.now + 120.0)
         gateway = PushGateway(self.sim, gateway_instance, streams=self.streams)
-        return ResourceBroker(self.sim, self.lb, self.sessions, gateway)
+        return ResourceBroker(self.sim, ShardedRouter(self.sim, [self.lb]),
+                              self.sessions, gateway)
 
 
 def test_manage_boots_min_replicas():

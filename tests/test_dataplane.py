@@ -19,7 +19,6 @@ from repro.core import Evop, EvopConfig
 from repro.data.sensors import SensorNetwork
 from repro.data.warehouse import DataWarehouse
 from repro.dataplane import (
-    ClaimTable,
     ConsumerGroup,
     DataPlane,
     DeadLetterQueue,
@@ -34,6 +33,7 @@ from repro.dataplane.views import (
     recompute_catchment_stats,
     view_fingerprint,
 )
+from repro.durable.lease import ClaimTable
 from repro.hydrology.timeseries import TimeSeries
 from repro.obs.hub import obs_of
 from repro.obs.telemetry import TelemetryPlane

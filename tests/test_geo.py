@@ -4,7 +4,6 @@ import pytest
 
 from repro.cloud import BlobStore, MultiCloud, OpenStackCloud
 from repro.cloud.errors import CloudError
-from repro.durable import JournalStore
 from repro.geo import (
     GeoEstate,
     GeoLedger,
@@ -144,9 +143,9 @@ def test_replicator_skips_faulted_site_then_catches_up(sim):
 def _election(sim, regions=("eu", "us", "ap"), ttl=6.0):
     topo = RegionTopology(sim, list(regions))
     stores = {r: BlobStore(sim, name=f"{r}-store") for r in regions}
-    journals = {r: JournalStore(sim, stores[r], name="geo-election")
-                for r in regions}
-    election = LeaderElection(sim, topo, journals, ttl=ttl,
+    leases = {r: stores[r].create_container("geo-election")
+              for r in regions}
+    election = LeaderElection(sim, topo, leases, ttl=ttl,
                               check_interval=1.0)
     return topo, stores, election
 
@@ -158,6 +157,17 @@ def test_election_elects_nearest_and_renews(sim):
     assert election.leader() == "eu"
     assert election.term == 1
     assert len(election.elections) == 1      # renewed, not re-elected
+
+
+def test_election_storage_stays_bounded(sim):
+    # renewals rewrite the lease blob: two simulated hours of half-TTL
+    # renewals leave one blob per region, not one record per renewal
+    topo, stores, election = _election(sim)
+    election.start()
+    sim.run(until=7200.0)
+    assert election.leader() == "eu"
+    for region in topo.regions():
+        assert len(stores[region].container("geo-election").list()) == 1
 
 
 def test_reelection_within_bound_and_term_grows(sim):
@@ -247,15 +257,15 @@ class _StubSession:
         self.priority = None
 
 
-def test_georouter_single_region_delegates_verbatim(sim):
+def test_georouter_single_region_serves_and_stamps(sim):
     topo = RegionTopology(sim, ["only"])
     router = _StubRouter()
     geo = GeoRouter(sim, topo, {"only": router})
     session = _StubSession()
     assert geo.submit_session(session, "portal") == "only"
     assert router.submitted == [session]
-    # no geo stamps in single-region mode
-    assert not hasattr(session, "region")
+    # one region runs the general rules: the session is stamped home
+    assert session.region == "only"
 
 
 def test_georouter_sticky_nearest_and_spillover(sim):
@@ -365,5 +375,28 @@ def test_estate_single_region_runs_clean():
     session = estate.submit("alice")
     estate.sim.run(until=150.0)
     assert session.state.value == "active"
-    # no geo control-plane processes in single-region mode
-    assert estate.election is None and estate.replicator is None
+    # one region runs the geo control plane too, and leads itself
+    assert estate.election.leader() == estate.regions()[0]
+
+
+def test_single_region_recovers_from_outage():
+    estate = GeoEstate(regions=1).warm(until=100.0)
+    region = estate.regions()[0]
+    cell = estate.cells[region]
+    before = estate.submit("alice")
+    estate.sim.run(until=150.0)
+    estate.injector.region_outage(region)
+    estate.sim.run(until=200.0)
+    assert estate.topology.is_down(region)
+    assert estate.election.leader() is None
+    estate.injector.heal_region(region)
+    estate.sim.run(until=400.0)
+    # with no survivor the healed region rejoins, elects itself and
+    # relaunches; its own queued session and a new one both serve
+    assert estate.election.leader() == region
+    assert sum(len(p.serving_instances()) for p in cell.providers) >= 1
+    after = estate.submit("bob")
+    estate.sim.run(until=450.0)
+    assert after.state.value == "active" and after.region == region
+    assert before.state.value == "active"
+    assert estate.failover.reports[-1].restored_at is not None

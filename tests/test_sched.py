@@ -290,11 +290,12 @@ def test_single_shard_router_identical_to_direct_lb_path():
         _place_and_snapshot(via_router=False)
 
 
-def test_single_shard_router_delegates_manage_untouched():
+def test_single_shard_router_manages_one_whole_slice():
     plane = Plane(shards=1)
-    managed = plane.sched.manage(plane.service)
-    assert managed is plane.service
-    assert plane.lb.service("svc") is plane.service
+    (piece,) = plane.sched.manage(plane.service)
+    assert piece.min_replicas == plane.service.min_replicas
+    assert piece.max_replicas == plane.service.max_replicas
+    assert plane.lb.service("svc") is piece
 
 
 # -- sharded placement -------------------------------------------------------
@@ -389,7 +390,7 @@ def test_displaced_sessions_requeue_at_head_of_their_class():
                   max_replicas=2, autoscale_interval=10.0)
     plane.sched.manage(plane.service, initial_replicas=1)
     plane.sim.run(until=300.0)
-    (replica,) = plane.service.serving()
+    (replica,) = plane.lb.service("svc").serving()
     olds = [plane.sessions.create(f"old-{i}") for i in range(2)]
     for s in olds:
         plane.lb.place_session(s, "svc")
@@ -423,8 +424,7 @@ def test_queued_session_gets_sched_submit_span():
     plane.sim.run(until=120.0)
     gateway = PushGateway(plane.sim, gateway_instance,
                           streams=plane.streams)
-    rb = ResourceBroker(plane.sim, plane.lb, plane.sessions, gateway,
-                        scheduler=plane.sched)
+    rb = ResourceBroker(plane.sim, plane.sched, plane.sessions, gateway)
     session = rb.connect("traced-user", "svc")
     plane.sim.run(until=900.0)
     assert session.state.value == "active"

@@ -566,8 +566,7 @@ def test_sessions_carry_tenant_through_broker_and_shed_events():
     rig.sched.attach_tenants(registry)
     gateway = PushGateway(rig.sim, rig.sched.services()[0].serving()[0],
                           streams=rig.streams)
-    rb = ResourceBroker(rig.sim, rig.lb, rig.sessions, gateway,
-                        scheduler=rig.sched)
+    rb = ResourceBroker(rig.sim, rig.sched, rig.sessions, gateway)
     events = obs_of(rig.sim).events
     session = rb.connect("farmer-1", "svc", tenant="org-a")
     assert session.tenant == "org-a"
