@@ -18,7 +18,11 @@ the reference baseline:
   faster than the cold batched path while agreeing with the scalar
   oracle within the documented bound (``VECTOR_REL_BOUND``), and the
   process-pool backend returns bit-identical results to the vector
-  backend — the backend-comparison table prints all four arms.
+  backend — the backend-comparison table prints all four arms;
+* the FUSE ensemble of one WPS Execute (16 structures over the default
+  168-hour span), run with its shared routing kernel and batch routing,
+  is bit-identical to the pre-batching loop kept verbatim in
+  ``tests/fuse_seed.py``; its speedup is reported, not gated.
 
 Results land in ``BENCH_model_fastpath.json`` at the repo root.  Run as
 a script for CI smoke (``python benchmarks/bench_model_fastpath.py
@@ -42,6 +46,8 @@ if __package__ in (None, ""):       # script mode: python benchmarks/bench_...
 from benchmarks.harness import once, print_table
 from repro.data import DesignStorm, STUDY_CATCHMENTS
 from repro.hydrology import TopmodelParameters
+from repro.hydrology import fuse
+from repro.hydrology.fuse import fuse_ensemble
 from repro.hydrology.timeseries import TimeSeries
 from repro.hydrology.topmodel import Topmodel, TopmodelResult
 from repro.hydrology.vectorized import (
@@ -52,11 +58,13 @@ from repro.hydrology.vectorized import (
 )
 from repro.perf import EnsembleRunner, RunCache, forcing_digest
 from repro.sim import RandomStreams
+from tests.fuse_seed import seed_fuse_ensemble
 
 SAMPLES = 200            # the Section VI GLUE ensemble size
 FORCING_HOURS = 24 * 12
 RESULT_FILE = REPO_ROOT / "BENCH_model_fastpath.json"
 RANGES = {"m": (5.0, 60.0), "td": (0.1, 5.0), "q0_mm_h": (0.02, 1.0)}
+FUSE_HOURS = 168         # the FUSE process's default Execute span
 
 
 def seed_run(model: Topmodel, rainfall: TimeSeries,
@@ -285,6 +293,8 @@ def run_fastpath(samples: int = SAMPLES, hours: int = FORCING_HOURS) -> dict:
     bit_identical = bit_identical and all(
         identical(a, b) for a, b in zip(batch_results, warm_results))
 
+    fuse_result = run_fuse_arm()
+
     return {
         "samples": samples,
         "steps": len(rain),
@@ -303,6 +313,37 @@ def run_fastpath(samples: int = SAMPLES, hours: int = FORCING_HOURS) -> dict:
         "vector_worst_rel_err": worst_rel_err,
         "vector_rel_bound": VECTOR_REL_BOUND,
         "vector_pool_bit_identical": vector_pool_identical,
+        **fuse_result,
+    }
+
+
+def run_fuse_arm(hours: int = FUSE_HOURS) -> dict:
+    """The FUSE ensemble of one Execute: seed loop vs batch routing."""
+    morland = STUDY_CATCHMENTS["morland"]
+    weather = morland.weather_generator(RandomStreams(1))
+    rain = weather.rainfall_with_storm(hours, DesignStorm(24, 8, 60.0),
+                                       start_day_of_year=330)
+    pet = weather.daily_pet(hours, start_day_of_year=330)
+    seed_seconds, seed = timed(lambda: seed_fuse_ensemble(rain, pet),
+                               repeats=3)
+    batch_seconds, batch = timed(lambda: fuse_ensemble(rain, pet),
+                                 repeats=3)
+    bit_identical = (
+        batch.mean.values == seed.mean.values
+        and batch.lower.values == seed.lower.values
+        and batch.upper.values == seed.upper.values
+        and all(a.flow.values == b.flow.values
+                and a.surface_runoff.values == b.surface_runoff.values
+                and a.baseflow.values == b.baseflow.values
+                for a, b in zip(batch.members, seed.members)))
+    return {
+        "fuse_members": len(batch.members),
+        "fuse_steps": len(rain),
+        "fuse_routing": "scalar" if fuse._np is None else "numpy",
+        "fuse_seed_seconds": seed_seconds,
+        "fuse_batch_seconds": batch_seconds,
+        "fuse_speedup": seed_seconds / max(batch_seconds, 1e-9),
+        "fuse_bit_identical": bit_identical,
     }
 
 
@@ -339,6 +380,14 @@ def report(result: dict) -> None:
     else:
         print("numpy absent: vectorized arms skipped "
               "(scalar fallback active)")
+    print_table(
+        f"FUSE Execute ensemble - {result['fuse_members']} structures x "
+        f"{result['fuse_steps']} steps, {result['fuse_routing']} routing",
+        ["path", "wall s", "speedup vs seed"],
+        [["seed loop", result["fuse_seed_seconds"], "1.00x"],
+         ["shared kernel + batch routing", result["fuse_batch_seconds"],
+          f"{result['fuse_speedup']:.2f}x"]])
+    print(f"FUSE batch == seed bit-identical: {result['fuse_bit_identical']}")
     RESULT_FILE.write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {RESULT_FILE}")
 
@@ -349,6 +398,7 @@ def test_model_fastpath(benchmark):
 
     # the optimisation changed not one bit of the science
     assert result["bit_identical"]
+    assert result["fuse_bit_identical"]
     # hot-loop work alone carries the cold path
     assert result["cold_speedup"] >= 1.5
     # the cached ensemble re-run is where the order of magnitude lives
@@ -382,6 +432,9 @@ def main(argv=None) -> int:
     failures = []
     if not result["bit_identical"]:
         failures.append("fast path is not bit-identical to the seed loop")
+    if not result["fuse_bit_identical"]:
+        failures.append("FUSE batch routing is not bit-identical to the "
+                        "seed loop")
     if result["cold_speedup"] < cold_floor:
         failures.append(f"cold speedup {result['cold_speedup']:.2f}x "
                         f"below {cold_floor}x")

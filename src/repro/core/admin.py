@@ -9,8 +9,8 @@ fault recovery, etc."
 :class:`AdminConsole` is that uniform view for the operators: one
 structured snapshot covering instances per provider, managed services
 and their replica health, live sessions, fault history, cloudburst
-state and accrued cost — plus a terminal rendering for the humans on
-call.
+state, the model result cache and accrued cost — plus a terminal
+rendering for the humans on call.
 """
 
 from __future__ import annotations
@@ -92,6 +92,11 @@ class AdminConsole:
                 "quota_committed": evop.ledger.committed_by_tenant(),
                 "tenants": per_tenant,
             })
+        cache_counters = evop.model_cache_metrics
+        model_cache = {name: int(cache_counters.counter(name).value)
+                       for name in ("hits", "misses", "evictions")}
+        model_cache["entries"] = len(evop.model_cache)
+        model_cache["max_entries"] = evop.model_cache.max_entries
         return {
             "time": evop.sim.now,
             "instances": evop.instances_by_location(),
@@ -119,6 +124,7 @@ class AdminConsole:
                 for r in evop.registry.all()
             ],
             "models": [e.name for e in evop.library.list()],
+            "model_cache": model_cache,
         }
 
     def unhealthy_replicas(self) -> List[Dict[str, Any]]:
@@ -156,6 +162,11 @@ class AdminConsole:
                     f"{replica['state']:10s} cpu={replica['cpu']:.0%} "
                     f"sessions={replica['sessions']} "
                     f"verdict={replica['verdict']}")
+        cache = snapshot["model_cache"]
+        lines.append(f"model cache: {cache['hits']} hits, "
+                     f"{cache['misses']} misses, "
+                     f"{cache['evictions']} evictions, "
+                     f"{cache['entries']}/{cache['max_entries']} entries")
         if snapshot["faults"]["detected"]:
             lines.append(f"faults detected: {snapshot['faults']['detected']}")
         tenancy = snapshot["tenancy"]

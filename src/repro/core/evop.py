@@ -53,6 +53,7 @@ from repro.portal.widgets import WIDGET_RETRY
 from repro.obs.hub import obs_of
 from repro.obs.slo import SLO
 from repro.obs.telemetry import TelemetryPlane
+from repro.perf import RunCache
 from repro.resilience import ResilientClient
 from repro.resilience.client import observed_breakers
 from repro.sched import CapacityLedger, ShardedRouter
@@ -60,6 +61,7 @@ from repro.services.channels import PushGateway
 from repro.services.idempotency import IdempotencyIndex
 from repro.services.registry import ServiceRegistry
 from repro.services.transport import Network
+from repro.services.wps import RESULT_CACHE_ENTRIES
 from repro.sim import MetricsRegistry, RandomStreams, Simulator
 
 _POLICIES: Dict[str, type] = {
@@ -125,9 +127,15 @@ class Evop:
             streams=self.streams, breakers=self.breakers,
             metrics=self.resilience_metrics)
 
-        # model library
+        # model library, and the one result cache every WPS Execute of
+        # every catchment's service is served through
         self.images = ImageStore()
         self.library = ModelLibrary(self.images)
+        self.model_cache_metrics = MetricsRegistry(self.sim,
+                                                   namespace="modelcache")
+        self.model_cache = RunCache(
+            max_entries=RESULT_CACHE_ENTRIES).bind_metrics(
+                self.model_cache_metrics)
 
         # infrastructure manager
         self.sessions = SessionTable(self.sim)
@@ -274,7 +282,7 @@ class Evop:
             self.sim, self.service_name(catchment.name),
             [f"topmodel-{catchment.name}", f"fuse-{catchment.name}",
              f"water-quality-{catchment.name}"],
-            status, {catchment.name: catchment})
+            status, {catchment.name: catchment}, cache=self.model_cache)
         wps.api.idempotency = self.idempotency
         self.wps_services[catchment.name] = wps
         image = self.library.image_for(f"topmodel-{catchment.name}")

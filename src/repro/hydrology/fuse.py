@@ -22,6 +22,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.hydrology.timeseries import TimeSeries
 
+try:
+    import numpy as _np
+except ImportError:                  # pragma: no cover - exercised in CI
+    _np = None
+
 #: Legal values for each structural decision.
 DECISION_SPACE: Dict[str, Tuple[str, ...]] = {
     "upper_layer": ("single_state", "tension_free"),
@@ -138,10 +143,38 @@ class FuseModel:
             parameters: Optional[FuseParameters] = None) -> FuseResult:
         """Simulate; rainfall/PET in mm/step."""
         params = (parameters or FuseParameters()).validated()
-        if pet is not None and len(pet) != len(rainfall):
-            raise ValueError("PET series must match rainfall length")
+        _check_pet(rainfall, pet)
+        surface_out, base_out = self._runoff(rainfall, pet, params)
+        total = [s + b for s, b in zip(surface_out, base_out)]
+        routed = gamma_route(total, params.routing_shape,
+                             params.routing_scale_h / self.dt_hours)
+        return self._result(rainfall, routed, surface_out, base_out)
+
+    def _runoff(self, rainfall: TimeSeries, pet: Optional[TimeSeries],
+                params: FuseParameters) -> Tuple[List[float], List[float]]:
+        """The unrouted (surface runoff, baseflow) series, in mm/step.
+
+        The per-step arithmetic is spelled exactly as in the reference
+        formulation (same operands, same order), with constants hoisted
+        and ``max``/``min`` written as the comparisons they perform, so
+        the output is bit-identical to it.
+        """
         dt = self.dt_hours
         d = self.decisions
+        single_state = d.upper_layer == "single_state"
+        power_law = d.saturated_area == "power_law"
+        linear_perc = d.percolation == "linear"
+        linear_base = d.baseflow == "linear_reservoir"
+        smax_upper = params.smax_upper
+        smax_lower = params.smax_lower
+        b_sat = params.b_sat
+        c_perc = params.c_perc
+        n_base = params.n_base
+        perc_rate = params.k_perc * dt
+        base_rate = params.k_base * dt
+        base_scale = params.k_base * dt * params.smax_lower
+        tension_cap = params.phi_tension * params.smax_upper
+        free_cap = params.smax_upper - tension_cap
 
         upper = 0.3 * params.smax_upper
         tension = 0.3 * params.phi_tension * params.smax_upper
@@ -150,96 +183,108 @@ class FuseModel:
 
         surface_out: List[float] = []
         base_out: List[float] = []
+        add_surface = surface_out.append
+        add_base = base_out.append
+        pets = itertools.repeat(0.0) if pet is None else pet._values
 
-        for step in range(len(rainfall)):
-            rain = rainfall[step]
-            rain = 0.0 if math.isnan(rain) else max(0.0, rain)
-            pet_step = 0.0 if pet is None else max(0.0, pet[step])
+        for rain, pet_step in zip(rainfall._values, pets):
+            # NaN compares False, so a gap counts as no rain / no PET
+            rain = rain if rain > 0.0 else 0.0
+            pet_step = pet_step if pet_step > 0.0 else 0.0
 
             # -- saturated contributing area from upper-layer wetness
-            if d.upper_layer == "single_state":
-                wetness = upper / params.smax_upper
+            if single_state:
+                wetness = upper / smax_upper
             else:
-                wetness = (tension + free) / params.smax_upper
-            wetness = min(1.0, max(0.0, wetness))
-            if d.saturated_area == "power_law":
-                contributing = wetness ** params.b_sat
-            else:
-                contributing = wetness
+                wetness = (tension + free) / smax_upper
+            wetness = wetness if wetness > 0.0 else 0.0
+            wetness = wetness if wetness < 1.0 else 1.0
+            contributing = wetness ** b_sat if power_law else wetness
             surface = rain * contributing
             infiltration = rain - surface
 
             # -- upper layer update + ET
-            if d.upper_layer == "single_state":
+            if single_state:
                 upper += infiltration
                 aet = pet_step * wetness
-                upper = max(0.0, upper - aet)
-                overflow = max(0.0, upper - params.smax_upper)
+                upper = upper - aet
+                upper = upper if upper > 0.0 else 0.0
+                overflow = upper - smax_upper
+                overflow = overflow if overflow > 0.0 else 0.0
                 upper -= overflow
                 upper_for_perc = upper
             else:
-                tension_cap = params.phi_tension * params.smax_upper
-                to_tension = min(infiltration, tension_cap - tension)
+                room = tension_cap - tension
+                to_tension = room if room < infiltration else infiltration
                 tension += to_tension
                 free += infiltration - to_tension
                 aet = pet_step * (tension / tension_cap if tension_cap else 0.0)
-                tension = max(0.0, tension - aet)
-                free_cap = params.smax_upper - tension_cap
-                overflow = max(0.0, free - free_cap)
+                tension = tension - aet
+                tension = tension if tension > 0.0 else 0.0
+                overflow = free - free_cap
+                overflow = overflow if overflow > 0.0 else 0.0
                 free -= overflow
                 upper_for_perc = free
             surface += overflow
 
             # -- percolation to the lower layer
-            if d.percolation == "linear":
-                perc = params.k_perc * dt * (
-                    upper_for_perc / params.smax_upper)
+            if linear_perc:
+                perc = perc_rate * (upper_for_perc / smax_upper)
             else:
-                perc = params.k_perc * dt * (
-                    (upper_for_perc / params.smax_upper) ** params.c_perc)
-            perc = min(perc, upper_for_perc)
-            if d.upper_layer == "single_state":
+                perc = perc_rate * ((upper_for_perc / smax_upper) ** c_perc)
+            if upper_for_perc < perc:
+                perc = upper_for_perc
+            if single_state:
                 upper -= perc
             else:
                 free -= perc
             lower += perc
 
             # -- baseflow from the lower layer
-            rel_lower = min(1.0, lower / params.smax_lower)
-            if d.baseflow == "linear_reservoir":
-                baseflow = params.k_base * dt * lower
+            if linear_base:
+                baseflow = base_rate * lower
             else:
-                baseflow = (params.k_base * dt * params.smax_lower
-                            * rel_lower ** params.n_base)
-            baseflow = min(baseflow, lower)
+                rel_lower = lower / smax_lower
+                rel_lower = rel_lower if rel_lower < 1.0 else 1.0
+                baseflow = base_scale * rel_lower ** n_base
+            if lower < baseflow:
+                baseflow = lower
             lower -= baseflow
-            lower_overflow = max(0.0, lower - params.smax_lower)
+            lower_overflow = lower - smax_lower
+            lower_overflow = lower_overflow if lower_overflow > 0.0 else 0.0
             lower -= lower_overflow
             baseflow += lower_overflow
 
-            surface_out.append(surface)
-            base_out.append(baseflow)
+            add_surface(surface)
+            add_base(baseflow)
+        return surface_out, base_out
 
-        total = [s + b for s, b in zip(surface_out, base_out)]
-        routed = gamma_route(total, params.routing_shape,
-                             params.routing_scale_h / dt)
+    def _result(self, rainfall: TimeSeries, routed: List[float],
+                surface_out: List[float],
+                base_out: List[float]) -> FuseResult:
         start, series_dt = rainfall.start, rainfall.dt
 
         def ts(values, name):
-            return TimeSeries(start, series_dt, values, units="mm/step",
-                              name=name)
+            return TimeSeries._wrap_floats(start, series_dt, values,
+                                           units="mm/step", name=name)
 
         return FuseResult(
-            flow=ts(routed, f"fuse:{d.label()}"),
+            flow=ts(routed, f"fuse:{self.decisions.label()}"),
             surface_runoff=ts(surface_out, "surface_runoff"),
             baseflow=ts(base_out, "baseflow"),
-            decisions=d,
+            decisions=self.decisions,
         )
 
 
-def gamma_route(flow: Sequence[float], shape: float,
-                scale_steps: float, kernel_length: int = 48) -> List[float]:
-    """Convolve ``flow`` with a discrete gamma unit hydrograph."""
+def _check_pet(rainfall: TimeSeries, pet: Optional[TimeSeries]) -> None:
+    if pet is not None and len(pet) != len(rainfall):
+        raise ValueError("PET series must match rainfall length")
+
+
+def gamma_kernel(shape: float, scale_steps: float,
+                 kernel_length: int = 48) -> List[float]:
+    """The normalised discrete gamma unit hydrograph (``kernel_length``
+    taps, sampled at step mid-points)."""
     if shape <= 0 or scale_steps <= 0:
         raise ValueError("gamma kernel parameters must be positive")
     kernel = []
@@ -247,16 +292,59 @@ def gamma_route(flow: Sequence[float], shape: float,
         t = i + 0.5
         kernel.append(t ** (shape - 1) * math.exp(-t / scale_steps))
     total = sum(kernel)
-    kernel = [k / total for k in kernel]
+    return [k / total for k in kernel]
+
+
+def gamma_route(flow: Sequence[float], shape: float,
+                scale_steps: float, kernel_length: int = 48) -> List[float]:
+    """Convolve ``flow`` with a discrete gamma unit hydrograph."""
+    kernel = gamma_kernel(shape, scale_steps, kernel_length)
+    return route_batch([flow], kernel)[0]
+
+
+def route_batch(flows: Sequence[Sequence[float]],
+                kernel: Sequence[float]) -> List[List[float]]:
+    """Convolve each of ``flows`` (equal lengths) with one ``kernel``.
+
+    Output ``i + j`` of a series gains ``flow[i] * kernel[j]`` for every
+    nonzero ``flow[i]``, in ascending ``i`` — the accumulation order of
+    routing one series at a time, so the result is bit-identical to it.
+    Uses NumPy when it is installed, a pure-Python loop otherwise.
+    """
+    if _np is None or not flows:
+        return [_route_scalar(flow, kernel) for flow in flows]
+    return _route_numpy(flows, kernel)
+
+
+def _route_scalar(flow: Sequence[float],
+                  kernel: Sequence[float]) -> List[float]:
     out = [0.0] * len(flow)
+    width = len(kernel)
     for i, q in enumerate(flow):
         if q == 0.0:
             continue
-        for j, w in enumerate(kernel):
-            if i + j >= len(flow):
-                break
-            out[i + j] += q * w
+        window = out[i:i + width]
+        out[i:i + len(window)] = [o + q * w for o, w in zip(window, kernel)]
     return out
+
+
+def _route_numpy(flows: Sequence[Sequence[float]],
+                 kernel: Sequence[float]) -> List[List[float]]:
+    q = _np.array(flows, dtype=float).reshape(len(flows), -1)
+    out = _np.zeros(q.shape)
+    n = q.shape[1]
+    # one pass per tap, last tap first: output t then receives
+    # flow[i] * kernel[t - i] in ascending i, the scalar loop's order;
+    # inf/NaN arise silently there, so NumPy must not warn about them
+    with _np.errstate(all="ignore"):
+        for j in range(min(len(kernel), n) - 1, -1, -1):
+            w = kernel[j]
+            contribution = q[:, :n - j] * w
+            if not math.isfinite(w):
+                # the scalar loop skips zero flow: 0 * inf never lands
+                contribution[q[:, :n - j] == 0.0] = 0.0
+            out[:, j:] += contribution
+    return out.tolist()
 
 
 @dataclass
@@ -277,17 +365,31 @@ def fuse_ensemble(rainfall: TimeSeries, pet: Optional[TimeSeries] = None,
                   parameters: Optional[FuseParameters] = None,
                   decisions: Optional[Iterable[FuseDecisions]] = None,
                   dt_hours: float = 1.0) -> EnsembleResult:
-    """Run every structure (or a chosen subset) and summarise the spread."""
+    """Run every structure (or a chosen subset) and summarise the spread.
+
+    Every member shares the routing kernel (it depends only on the
+    parameters and ``dt_hours``), so the kernel is built once and all
+    members are routed in one :func:`route_batch`; each member equals
+    ``FuseModel(decisions, dt_hours).run(...)`` bit for bit.
+    """
     combos = list(decisions) if decisions is not None \
         else FuseDecisions.all_combinations()
     if not combos:
         raise ValueError("empty ensemble")
-    members = [FuseModel(combo, dt_hours=dt_hours).run(rainfall, pet, parameters)
-               for combo in combos]
-    n = len(rainfall)
+    models = [FuseModel(combo, dt_hours=dt_hours) for combo in combos]
+    params = (parameters or FuseParameters()).validated()
+    _check_pet(rainfall, pet)
+    runoff = [model._runoff(rainfall, pet, params) for model in models]
+    kernel = gamma_kernel(params.routing_shape,
+                          params.routing_scale_h / dt_hours)
+    routed = route_batch([[s + b for s, b in zip(surface_out, base_out)]
+                          for surface_out, base_out in runoff], kernel)
+    members = [model._result(rainfall, flow, surface_out, base_out)
+               for model, flow, (surface_out, base_out)
+               in zip(models, routed, runoff)]
     mean_values, lo_values, hi_values = [], [], []
-    for i in range(n):
-        column = sorted(m.flow[i] for m in members)
+    for column in zip(*routed):
+        column = sorted(column)
         mean_values.append(sum(column) / len(column))
         lo_values.append(_percentile(column, 10))
         hi_values.append(_percentile(column, 90))

@@ -34,11 +34,12 @@ class TimeSeries:
         """Adopt ``values`` — already a list of floats — without the
         per-element conversion pass.
 
-        Internal fast path for the vectorized kernel, which hands over
-        ``ndarray.tolist()`` output (guaranteed Python floats) for
-        thousands of series per ensemble; the public constructor's
-        coercion would double the kernel's result-assembly cost.  The
-        caller must not retain a reference to ``values``.
+        Internal fast path for the ensemble kernels (vectorized
+        TOPMODEL, batched FUSE), which hand over ``ndarray.tolist()``
+        output or lists built from float arithmetic (guaranteed Python
+        floats) for many series per ensemble; the public constructor's
+        coercion would double the kernels' result-assembly cost.  The
+        caller must not mutate ``values`` afterwards.
         """
         series = cls.__new__(cls)
         series.start = start

@@ -18,6 +18,7 @@ from repro.cloud.images import ImageKind, ImageStore, MachineImage
 from repro.cloud.provisioning import ProvisioningRecipe
 from repro.cloud.storage import Container
 from repro.data.catchments import Catchment
+from repro.perf import RunCache
 from repro.services.wps import WpsProcess, WpsService
 from repro.sim import Simulator
 
@@ -175,9 +176,15 @@ class ModelLibrary:
     def build_service(self, sim: Simulator, service_name: str,
                       model_names: List[str],
                       status_container: Container,
-                      catchments: Dict[str, Catchment]) -> WpsService:
-        """A WPS service publishing the named models' processes."""
-        service = WpsService(sim, service_name, status_container)
+                      catchments: Dict[str, Catchment],
+                      cache: Optional[RunCache] = None) -> WpsService:
+        """A WPS service publishing the named models' processes.
+
+        ``cache`` is the Execute result cache the service serves from;
+        a deployment passes the same one to every service it builds.
+        """
+        service = WpsService(sim, service_name, status_container,
+                             cache=cache)
         for name in model_names:
             entry = self.get(name)
             catchment = catchments[entry.catchment]

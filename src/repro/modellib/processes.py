@@ -76,6 +76,21 @@ def _storm_rainfall(catchment: Catchment, inputs: Dict[str, Any],
     return rain, pet
 
 
+def _dataset_etag(warehouse):
+    """The forcing digest of a process reading ``rainfall_dataset``.
+
+    The dataset's etag changes whenever it is re-uploaded, so a cached
+    result of the old upload is never served for the new one.
+    """
+    def forcing(inputs: Dict[str, Any]) -> str:
+        dataset_id = inputs.get("rainfall_dataset")
+        if not dataset_id or warehouse is None:
+            return ""
+        return warehouse.etag_of(dataset_id)
+
+    return forcing
+
+
 def _scenario(inputs: Dict[str, Any]):
     key = inputs.get("scenario") or "baseline"
     if key not in STANDARD_SCENARIOS:
@@ -153,7 +168,8 @@ def make_topmodel_process(catchment: Catchment, warehouse=None) -> WpsProcess:
     def cost(inputs: Dict[str, Any]) -> float:
         return _COST_OVERHEAD + _COST_PER_HOUR * float(inputs["duration_hours"])
 
-    return WpsProcess(description, run=run, cost=cost)
+    return WpsProcess(description, run=run, cost=cost,
+                      forcing=_dataset_etag(warehouse))
 
 
 def make_water_quality_process(catchment: Catchment,
@@ -207,7 +223,8 @@ def make_water_quality_process(catchment: Catchment,
         return (_COST_OVERHEAD
                 + 1.3 * _COST_PER_HOUR * float(inputs["duration_hours"]))
 
-    return WpsProcess(description, run=run, cost=cost)
+    return WpsProcess(description, run=run, cost=cost,
+                      forcing=_dataset_etag(warehouse))
 
 
 def make_fuse_process(catchment: Catchment, warehouse=None) -> WpsProcess:
@@ -262,4 +279,5 @@ def make_fuse_process(catchment: Catchment, warehouse=None) -> WpsProcess:
         single = _COST_OVERHEAD + _COST_PER_HOUR * float(inputs["duration_hours"])
         return single * 16
 
-    return WpsProcess(description, run=run, cost=cost)
+    return WpsProcess(description, run=run, cost=cost,
+                      forcing=_dataset_etag(warehouse))

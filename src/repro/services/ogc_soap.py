@@ -90,7 +90,7 @@ class SoapWpsBinding:
         # here (host-instantaneous, simulated via the surcharge job)
         self.instance.submit(Job(cost=process.cost(inputs),
                                  name=f"soap-wps:{identifier}"))
-        outputs = process.execute(inputs)
+        outputs = self.wps.compute(process, inputs)
         session.state["last_execution"] = identifier
         return {
             "status": "ProcessSucceeded",

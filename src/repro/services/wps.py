@@ -10,17 +10,36 @@ models".
 Statelessness is preserved even for asynchronous execution: execution
 status lives in a shared blob-store container, not on the serving
 replica, so *any* replica can answer a status poll.
+
+Every Execute -- sync, async and the SOAP binding's -- computes its
+outputs through :meth:`WpsService.compute`.  A process that declares
+itself pure (it is built with ``forcing``) is served from a
+content-addressed :class:`~repro.perf.runcache.RunCache`; any other
+process, such as a composite that records a workflow run, is computed
+on every Execute.  The cache is host-side only: a hit still charges the
+process's full ``cost`` to the instance and still publishes the run's
+lifecycle events, so simulated time, cost and the served body are the
+same as a recompute.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.cloud.instance import Instance, Job
 from repro.cloud.storage import Container
 from repro.durable.journal import jsonable
+from repro.perf import (
+    CAPTURED_ERRORS,
+    CanonicalisationError,
+    RunCache,
+    RunFailure,
+    canonical,
+    run_key,
+)
 from repro.services.envelope import problem
 from repro.services.pagination import CursorError, is_paginated, paginate
 from repro.services.rest import (
@@ -43,6 +62,20 @@ _execution_ids = itertools.count()
 #: document.
 RUN_SUMMARY_KEYS = ("peak_mm_h", "peak_time_hours", "volume_mm",
                     "threshold_exceeded", "model")
+
+#: Entry bound of a service's Execute result cache.  An entry holds one
+#: run's outputs: a FUSE run over the longest generated span (2160 h)
+#: keeps four 2160-sample series, about 280 KB; runs on an uploaded
+#: rainfall dataset grow with its length.
+RESULT_CACHE_ENTRIES = 256
+
+
+class ReplayedFailure(Exception):
+    """A cached deterministic run failure, raised again on a cache hit.
+
+    Carries the original exception's message, so the failed job's
+    response body and the async status ``error`` match a recompute.
+    """
 
 
 @dataclass(frozen=True)
@@ -95,17 +128,25 @@ class ProcessDescription:
 class WpsProcess:
     """A runnable process behind ``Execute``.
 
-    ``run`` maps validated inputs to an outputs dict; ``cost`` estimates
-    the CPU charge of a run from those inputs (e.g. proportional to the
-    number of simulated timesteps).
+    ``run`` maps validated inputs to an outputs dict; ``cost``
+    estimates the CPU charge of a run from those inputs (e.g.
+    proportional to the number of simulated timesteps).
+
+    ``forcing`` declares ``run`` pure: a function of the inputs and of
+    the stored data ``forcing(inputs)`` digests (such as a dataset's
+    etag, or ``""`` when it reads none) and of nothing else, with no
+    side effects.  Only such a process is served from the result cache;
+    without ``forcing`` every Execute runs it.
     """
 
     def __init__(self, description: ProcessDescription,
                  run: Callable[[Dict[str, Any]], Dict[str, Any]],
-                 cost: Callable[[Dict[str, Any]], float]):
+                 cost: Callable[[Dict[str, Any]], float],
+                 forcing: Optional[Callable[[Dict[str, Any]], str]] = None):
         self.description = description
         self._run = run
         self._cost = cost
+        self._forcing = forcing
 
     @property
     def identifier(self) -> str:
@@ -126,6 +167,16 @@ class WpsProcess:
                 value = spec.default
             else:
                 raise HttpError(400, f"missing required input {spec.name!r}")
+            # NaN slips past both bounds (every comparison is False)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise HttpError(400, f"input {spec.name!r} must be a "
+                                     f"finite number, got {value!r}")
+            # inputs are part of the result-cache key, which needs JSON
+            try:
+                canonical(value)
+            except CanonicalisationError:
+                raise HttpError(400, f"input {spec.name!r} is not a JSON "
+                                     f"value") from None
             if value is not None and spec.minimum is not None and value < spec.minimum:
                 raise HttpError(400, f"input {spec.name!r} below minimum "
                                      f"{spec.minimum}")
@@ -139,6 +190,15 @@ class WpsProcess:
         """CPU charge (reference-core seconds) of running with ``inputs``."""
         return self._cost(inputs)
 
+    @property
+    def pure(self) -> bool:
+        """Whether results may be served from the result cache."""
+        return self._forcing is not None
+
+    def forcing(self, inputs: Dict[str, Any]) -> str:
+        """Digest of the stored data a pure run with ``inputs`` reads."""
+        return self._forcing(inputs)
+
     def execute(self, inputs: Dict[str, Any]) -> Dict[str, Any]:
         """Run the process (host-instantaneous; charged via the job cost)."""
         return self._run(inputs)
@@ -148,14 +208,20 @@ class WpsService:
     """A WPS endpoint: builds the shared :class:`RestApi` for replicas.
 
     ``status_container`` holds asynchronous execution state; pass the
-    same container to every replica of the same service.
+    same container to every replica of the same service.  ``cache`` is
+    the result cache of its pure processes; pass one :class:`RunCache` to
+    several services to share it (keys carry the process identifier), or
+    leave it out for a cache of this service's own.
     """
 
     def __init__(self, sim: Simulator, name: str, status_container: Container,
-                 tenants=None, limiter=None, idempotency=None):
+                 tenants=None, limiter=None, idempotency=None,
+                 cache: Optional[RunCache] = None):
         self.sim = sim
         self.name = name
         self.status = status_container
+        self.cache = cache if cache is not None \
+            else RunCache(max_entries=RESULT_CACHE_ENTRIES)
         self._processes: Dict[str, WpsProcess] = {}
         self._outbox = None
         self._run_stream = "runs"
@@ -215,6 +281,33 @@ class WpsService:
     def processes(self) -> List[str]:
         """Identifiers of all published processes."""
         return sorted(self._processes)
+
+    def compute(self, process: WpsProcess,
+                inputs: Dict[str, Any]) -> Dict[str, Any]:
+        """The outputs of ``process`` on validated ``inputs``.
+
+        A process that is not :attr:`~WpsProcess.pure` is simply run.  A
+        pure one is cached under its identifier, the inputs and its
+        forcing digest.  A deterministic failure is cached as a
+        :class:`RunFailure` and raised again as :class:`ReplayedFailure`
+        with the same message.  Every call gets its own copy of cached
+        outputs, so a caller mutating a served list cannot alter a later
+        hit.
+        """
+        if not process.pure:
+            return process.execute(inputs)
+        key = run_key(process.identifier, inputs, process.forcing(inputs))
+        found, outputs = self.cache.lookup(key)
+        if not found:
+            try:
+                outputs = process.execute(inputs)
+            except CAPTURED_ERRORS as err:
+                self.cache.store(key, RunFailure.of(err))
+                raise
+            self.cache.store(key, outputs)
+        if isinstance(outputs, RunFailure):
+            raise ReplayedFailure(outputs.message)
+        return _fresh(outputs)
 
     def replica(self, instance: Instance) -> RestServer:
         """Create a server replica of this service on ``instance``."""
@@ -288,7 +381,7 @@ class WpsService:
                           submitted_at, tenant=tenant)
         job = Job(cost=process.cost(inputs),
                   name=f"wps:{process.identifier}",
-                  compute=lambda: process.execute(inputs))
+                  compute=lambda: self.compute(process, inputs))
 
         def render(outputs):
             self._publish_run(run_id, process.identifier, "finished",
@@ -316,7 +409,7 @@ class WpsService:
 
         def run_and_record():
             try:
-                outputs = process.execute(inputs)
+                outputs = self.compute(process, inputs)
             except Exception as err:  # noqa: BLE001 - recorded as failure
                 self.status.put(execution_id, {
                     "status": "failed",
@@ -377,3 +470,13 @@ class WpsService:
                                 retryable=False)
         blob = self.status.get(execution_id)
         return RestCacheable(body=dict(blob.payload), etag=blob.etag)
+
+
+def _fresh(value: Any) -> Any:
+    """A copy of ``value`` that shares no list or dict with it."""
+    if isinstance(value, dict):
+        return {key: _fresh(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_fresh(item) if isinstance(item, (dict, list)) else item
+                for item in value]
+    return value

@@ -156,6 +156,28 @@ def test_admin_unhealthy_list_and_render(deployment):
     assert "verdict=healthy" in text
 
 
+def test_admin_shows_the_shared_model_cache(deployment):
+    cache = deployment.model_cache
+    assert [wps.cache for wps in deployment.wps_services.values()] == \
+        [cache] * len(deployment.wps_services)
+    wps = deployment.wps_services["morland"]
+    process = wps._processes["fuse-morland"]
+    inputs = process.validate({"duration_hours": 24})
+    hits = cache.hits
+    wps.compute(process, inputs)
+    wps.compute(process, inputs)
+    assert cache.hits == hits + 1
+    console = AdminConsole(deployment)
+    shown = console.status()["model_cache"]
+    # the counters are read back from the bound metrics registry
+    assert shown == {"hits": cache.hits, "misses": cache.misses,
+                     "evictions": cache.evictions, "entries": len(cache),
+                     "max_entries": cache.max_entries}
+    assert deployment.model_cache_metrics.counter("hits").value == cache.hits
+    assert (f"model cache: {cache.hits} hits, {cache.misses} misses"
+            in console.render())
+
+
 def test_admin_sees_fault(deployment):
     victim = deployment.lb.service("left-morland").serving()[0]
     deployment.injector.crash(victim)
